@@ -20,6 +20,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -50,6 +51,21 @@ SEED_BASELINE = {
 }
 
 
+def _load_host_probe():
+    """``perfbench/run.py``'s calibration kernel and its reference time.
+
+    A shared host's speed drifts by tens of percent over minutes;
+    bracketing each timed run with this fixed kernel and scaling by
+    ``reference / kernel seconds`` cancels the drift, so the gate
+    compares the code, not the host's load at the time.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.host_kernel, module.KERNEL_REFERENCE_S
+
+
 def reference_workload():
     """The bench_micro reference scenario (kept in sync with it)."""
     mix = tpch_mix(names=("Q1", "Q3", "Q6", "Q18"))
@@ -65,17 +81,32 @@ def measure_decision_throughput(repeats: int = 5) -> dict:
     a report regenerated on a quiet machine sets a floor a normally
     loaded CI run cannot meet.  The median of the same samples is
     stable under one-sided scheduler noise.
+
+    Each run is bracketed by the host-speed probe; the gated
+    ``adjusted_tasks_per_second`` divides by the median of the
+    host-adjusted wall times (reference-host seconds), so a slower or
+    busier host does not read as a regression of the code.
     """
+    host_kernel, kernel_reference_s = _load_host_probe()
     workload = reference_workload()
     times = []
+    adjusted = []
+    speeds = []
     result = None
+    host_kernel()  # warm-up: a process's first call runs cold and slow
     for _ in range(repeats):
         scheduler = make_scheduler("stride", SchedulerConfig(n_workers=8))
         simulator = Simulator(scheduler, workload, seed=1)
+        before = host_kernel()
         start = time.perf_counter()
         result = simulator.run()
-        times.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
+        speed = kernel_reference_s / (0.5 * (before + host_kernel()))
+        times.append(wall)
+        adjusted.append(wall * speed)
+        speeds.append(speed)
     wall = statistics.median(times)
+    adjusted_wall = statistics.median(adjusted)
     return {
         "repeats": repeats,
         "wall_seconds": wall,
@@ -84,6 +115,9 @@ def measure_decision_throughput(repeats: int = 5) -> dict:
         "events_processed": result.events_processed,
         "tasks_per_second": result.tasks_executed / wall,
         "events_per_second": result.events_processed / wall,
+        "host_speed": statistics.median(speeds),
+        "adjusted_wall_seconds": adjusted_wall,
+        "adjusted_tasks_per_second": result.tasks_executed / adjusted_wall,
     }
 
 
@@ -589,7 +623,7 @@ def measure_tuning_overhead() -> dict:
 
 
 def build_report(smoke: bool = False) -> dict:
-    current = measure_decision_throughput(repeats=2 if smoke else 5)
+    current = measure_decision_throughput(repeats=5)
     report = {
         "scenario": "stride, tpch_mix(Q1,Q3,Q6,Q18), rate=15/s, 2s, 8 workers",
         "baseline_seed_revision": dict(
@@ -622,18 +656,19 @@ def build_report(smoke: bool = False) -> dict:
 def check_against(report: dict, committed: dict, tolerance: float) -> int:
     """Fail (return 1) if throughput regressed beyond ``tolerance``.
 
-    Compares the current ``tasks_per_second`` against the committed
-    report's measurement of the same scenario.  Both numbers come from
-    the same machine class in CI, so the ratio is meaningful there.
+    Compares the current host-adjusted throughput
+    (``adjusted_tasks_per_second``, in reference-host tasks/s) against
+    the committed report's measurement of the same scenario, so the
+    ratio reflects the code rather than the host's speed at the time.
     """
-    reference = committed["current"]["tasks_per_second"]
-    measured = report["current"]["tasks_per_second"]
+    reference = committed["current"]["adjusted_tasks_per_second"]
+    measured = report["current"]["adjusted_tasks_per_second"]
     ratio = measured / reference
     floor = 1.0 - tolerance
     verdict = "OK" if ratio >= floor else "REGRESSION"
     print(
-        f"throughput check: {measured:,.0f} tasks/s vs committed "
-        f"{reference:,.0f} tasks/s (ratio {ratio:.2f}, floor {floor:.2f}) "
+        f"throughput check: {measured:,.0f} host-adjusted tasks/s vs committed "
+        f"{reference:,.0f} (ratio {ratio:.2f}, floor {floor:.2f}) "
         f"-> {verdict}"
     )
     failed = ratio < floor
@@ -761,7 +796,7 @@ def main(argv=None) -> int:
         metavar="JSON",
         default=None,
         help=(
-            "compare tasks_per_second against a committed report and "
+            "compare adjusted_tasks_per_second against a committed report and "
             "exit 1 on a regression beyond --tolerance"
         ),
     )
@@ -784,6 +819,8 @@ def main(argv=None) -> int:
         f"decision throughput: {current['tasks_per_second']:,.0f} tasks/s, "
         f"{current['events_per_second']:,.0f} events/s "
         f"({current['wall_seconds']:.4f} s wall; "
+        f"{current['adjusted_tasks_per_second']:,.0f} host-adjusted tasks/s at "
+        f"host speed {current['host_speed']:.2f}; "
         f"{report['speedup_vs_seed']:.2f}x vs seed baseline)"
     )
     if "sweep_scaling" in report:

@@ -17,6 +17,7 @@ than per-row Python dict lookups.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -214,16 +215,119 @@ class HashJoinBuildSink(Sink):
         self._parts = []
 
 
+#: The dense key reduction runs when the key columns' value ranges span
+#: at most this many codes per input row; wider (sparse) ranges fall
+#: back to ``np.unique``.  Bounds the code table at O(rows).
+_DENSE_CODES_PER_ROW = 8
+
+#: Pending partial rows always allowed before an eager merge, so that
+#: aggregates with few groups do not re-merge after every morsel.
+_MERGE_SLACK_ROWS = 4096
+
+#: Identity element of each scatter reduction, per ufunc.
+_FOLD_IDENTITY = {np.add: 0.0, np.minimum: np.inf, np.maximum: -np.inf}
+
+
+def _reduce_keys(columns: List[np.ndarray], n: int):
+    """Group ``n`` rows by their key columns.
+
+    Returns ``(uniques, inverse, counts)``: the distinct keys as int64
+    columns in lexicographic order (the order ``np.unique`` produces),
+    each row's group index, and each group's row count.
+
+    Integer keys whose ranges multiply to at most
+    ``_DENSE_CODES_PER_ROW * n`` codes are mixed-radix encoded into one
+    non-negative code, first column most significant, so code order is
+    key order; ``np.bincount`` over the codes then yields the groups in
+    sorted order without sorting.  Other keys go through ``np.unique``.
+    Non-integer keys are truncated to int64 as ``int()`` would.
+    """
+    if all(column.dtype.kind in "biu" for column in columns):
+        columns = [column.astype(np.int64, copy=False) for column in columns]
+        lows = [int(column.min()) for column in columns]
+        spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+        size = math.prod(spans)
+        if size <= _DENSE_CODES_PER_ROW * n:
+            code = columns[0] - lows[0]
+            for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
+                code *= span
+                code += column - low
+            counts = np.bincount(code, minlength=size)
+            present = np.flatnonzero(counts)
+            lookup = np.empty(size, dtype=np.intp)
+            lookup[present] = np.arange(len(present))
+            uniques = []
+            rest = present
+            for low, span in zip(lows[:0:-1], spans[:0:-1]):
+                rest, digit = np.divmod(rest, span)
+                uniques.append(digit + low)
+            uniques.append(rest + lows[0])
+            return uniques[::-1], lookup[code], counts[present]
+    if len(columns) == 1:
+        uniques, inverse, counts = np.unique(
+            columns[0], return_inverse=True, return_counts=True
+        )
+        return [uniques.astype(np.int64, copy=False)], inverse, counts
+    composite = np.empty((n, len(columns)), dtype=np.int64)
+    for i, column in enumerate(columns):
+        composite[:, i] = column
+    uniques, inverse, counts = np.unique(
+        composite, axis=0, return_inverse=True, return_counts=True
+    )
+    return list(uniques.T), inverse.reshape(-1), counts
+
+
+def _fold(ufunc, inverse: np.ndarray, n_groups: int, values) -> np.ndarray:
+    """Scatter-reduce one morsel's ``values`` into ``n_groups`` slots.
+
+    Reduces in input order from the identity, exactly as
+    ``ufunc.at(np.full(n_groups, identity), inverse, values)`` would.
+    """
+    if ufunc is np.add:
+        return np.bincount(inverse, weights=values, minlength=n_groups)
+    acc = np.full(n_groups, _FOLD_IDENTITY[ufunc])
+    ufunc.at(acc, inverse, values)
+    return acc
+
+
+def _merge_fold(ufunc, inverse: np.ndarray, n_groups: int, partials) -> np.ndarray:
+    """Reduce partial aggregates as a left fold of Python ``+``/``min``/``max``.
+
+    ``np.bincount`` adds in input order.  Python's ``min``/``max`` skip
+    NaN and keep the first of two equal values, which numpy's do not:
+    ``fmin``/``fmax`` skip NaN, and a group whose extreme is zero takes
+    its first zero partial (±0 are the only equal values that differ).
+    """
+    if ufunc is np.add:
+        return np.bincount(inverse, weights=partials, minlength=n_groups)
+    acc = np.full(n_groups, _FOLD_IDENTITY[ufunc])
+    (np.fmin if ufunc is np.minimum else np.fmax).at(acc, inverse, partials)
+    zeros = np.flatnonzero(partials == 0.0)
+    groups, first = np.unique(inverse[zeros], return_index=True)
+    tied = acc[groups] == 0.0
+    acc[groups[tied]] = partials[zeros[first[tied]]]
+    return acc
+
+
 class HashAggregateSink(Sink):
     """Group-by aggregation with SUM / MIN / MAX / AVG / COUNT aggregates.
 
-    Per morsel the batch is reduced with ``np.unique`` plus vectorised
-    scatter reductions; the partial results merge into a Python dict
-    keyed by the group tuple — the analogue of merging thread-local
-    partial aggregates during task-set finalization.
+    State is columnar: a *partial* is a set of key columns plus one
+    column per aggregate and a count column, one entry per group.  Each
+    morsel is reduced to a partial by one key reduction
+    (:func:`_reduce_keys`) and one scatter reduction per aggregate, and
+    appended to a pending list — the analogue of thread-local partial
+    aggregates.  A merge concatenates the merged partial and the pending
+    ones and reduces them the same way; it runs lazily when results are
+    read, and eagerly once the pending rows outnumber both the merged
+    groups and ``_MERGE_SLACK_ROWS``, so state stays O(groups).  No
+    Python code runs per group or per row.
 
-    ``avgs`` are computed as merged (sum, count) pairs, which is the
-    only decomposition that merges correctly across morsels.
+    Sums fold in input order from 0.0 (``np.bincount``), and the merged
+    partial always comes first, so each group's sum is the left fold
+    ``0.0 + p0 + p1 + ...`` over its morsel partials in morsel order,
+    whatever the merge schedule.  ``avgs`` are merged as (sum, count)
+    pairs, the only decomposition that merges correctly across morsels.
     """
 
     def __init__(
@@ -243,89 +347,100 @@ class HashAggregateSink(Sink):
         self.maxs = maxs or {}
         self.avgs = avgs or {}
         self.count_alias = count_alias
-        self.groups: Dict[Tuple, Dict[str, float]] = {}
-
-    def _reduce_keys(self, batch: Batch, n: int):
-        key_arrays = [np.asarray(batch[c]) for c in self.group_columns]
-        if len(key_arrays) == 1:
-            # The common single-key path avoids the slow axis-based unique.
-            flat_uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
-            return flat_uniques.reshape(-1, 1), inverse
-        composite = np.empty((n, len(key_arrays)), dtype=np.int64)
-        for i, keys in enumerate(key_arrays):
-            composite[:, i] = keys
-        return np.unique(composite, axis=0, return_inverse=True)
+        names = [*group_columns, *self.sums, *self.mins, *self.maxs, *self.avgs]
+        if count_alias is not None:
+            names.append(count_alias)
+        if len(set(names)) != len(names):
+            raise EngineError(f"duplicate aggregate output names in {names}")
+        #: (scatter ufunc, input expression) per aggregate column, in
+        #: output order; AVG accumulates its sum like SUM.
+        self._inputs = (
+            [(np.add, expr) for expr in self.sums.values()]
+            + [(np.minimum, expr) for expr in self.mins.values()]
+            + [(np.maximum, expr) for expr in self.maxs.values()]
+            + [(np.add, expr) for expr in self.avgs.values()]
+        )
+        self._merged: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None
+        self._pending: List[Tuple[List[np.ndarray], List[np.ndarray]]] = []
+        self._pending_groups = 0
 
     def consume(self, batch: Batch) -> None:
         n = batch_length(batch)
         if n == 0:
             return
-        uniques, inverse = self._reduce_keys(batch, n)
-        n_groups = len(uniques)
-        partial_sums = {}
-        for alias, expr in self.sums.items():
-            acc = np.zeros(n_groups)
-            np.add.at(acc, inverse, expr.evaluate(batch))
-            partial_sums[alias] = acc
-        partial_mins = {}
-        for alias, expr in self.mins.items():
-            acc = np.full(n_groups, np.inf)
-            np.minimum.at(acc, inverse, expr.evaluate(batch))
-            partial_mins[alias] = acc
-        partial_maxs = {}
-        for alias, expr in self.maxs.items():
-            acc = np.full(n_groups, -np.inf)
-            np.maximum.at(acc, inverse, expr.evaluate(batch))
-            partial_maxs[alias] = acc
-        partial_avgsums = {}
-        for alias, expr in self.avgs.items():
-            acc = np.zeros(n_groups)
-            np.add.at(acc, inverse, expr.evaluate(batch))
-            partial_avgsums[alias] = acc
+        keys, inverse, counts = _reduce_keys(
+            [np.asarray(batch[column]) for column in self.group_columns], n
+        )
+        n_groups = len(counts)
+        aggregates = [
+            _fold(ufunc, inverse, n_groups, expr.evaluate(batch))
+            for ufunc, expr in self._inputs
+        ]
+        aggregates.append(counts)
+        self._pending.append((keys, aggregates))
+        self._pending_groups += n_groups
+        merged_groups = 0 if self._merged is None else len(self._merged[0][0])
+        if self._pending_groups > max(merged_groups, _MERGE_SLACK_ROWS):
+            self._merge()
+
+    def _merge(self) -> None:
+        """Reduce the merged and pending partials into one merged partial."""
+        if not self._pending:
+            return
+        parts = self._pending if self._merged is None else [self._merged, *self._pending]
+        keys = [
+            np.concatenate([part[0][i] for part in parts])
+            for i in range(len(self.group_columns))
+        ]
+        uniques, inverse, _ = _reduce_keys(keys, len(keys[0]))
+        n_groups = len(uniques[0])
+        aggregates = [
+            _merge_fold(
+                ufunc, inverse, n_groups, np.concatenate([part[1][i] for part in parts])
+            )
+            for i, (ufunc, _expr) in enumerate(self._inputs)
+        ]
         counts = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(counts, inverse, 1)
-        for group_index, key_row in enumerate(uniques):
-            key = tuple(int(k) for k in key_row)
-            entry = self.groups.get(key)
-            if entry is None:
-                entry = {alias: 0.0 for alias in self.sums}
-                entry.update({f"min:{alias}": float("inf") for alias in self.mins})
-                entry.update({f"max:{alias}": float("-inf") for alias in self.maxs})
-                entry.update({f"avg:{alias}": 0.0 for alias in self.avgs})
-                entry["__count__"] = 0
-                self.groups[key] = entry
-            for alias in self.sums:
-                entry[alias] += float(partial_sums[alias][group_index])
-            for alias in self.mins:
-                entry[f"min:{alias}"] = min(
-                    entry[f"min:{alias}"], float(partial_mins[alias][group_index])
-                )
-            for alias in self.maxs:
-                entry[f"max:{alias}"] = max(
-                    entry[f"max:{alias}"], float(partial_maxs[alias][group_index])
-                )
-            for alias in self.avgs:
-                entry[f"avg:{alias}"] += float(partial_avgsums[alias][group_index])
-            entry["__count__"] += int(counts[group_index])
+        np.add.at(counts, inverse, np.concatenate([part[1][-1] for part in parts]))
+        aggregates.append(counts)
+        for column in (*uniques, *aggregates):
+            column.flags.writeable = False
+        self._merged = (uniques, aggregates)
+        self._pending = []
+        self._pending_groups = 0
+
+    def result_columns(self) -> Dict[str, np.ndarray]:
+        """Key and aggregate columns, one entry per group, sorted by key.
+
+        Columns are named after the group columns and the aggregate
+        aliases, in the order group keys, sums, mins, maxs, avgs, count;
+        keys and the count are int64, the rest float64.  AVG is NaN for a
+        zero count.  Arrays that hold the sink's state are read-only.
+        """
+        self._merge()
+        if self._merged is None:
+            keys = [np.empty(0, dtype=np.int64) for _ in self.group_columns]
+            aggregates = [np.empty(0) for _ in self._inputs]
+            aggregates.append(np.empty(0, dtype=np.int64))
+        else:
+            keys, aggregates = self._merged
+        counts = aggregates[-1]
+        columns = dict(zip(self.group_columns, keys))
+        plain = [*self.sums, *self.mins, *self.maxs]
+        columns.update(zip(plain, aggregates))
+        for alias, total in zip(self.avgs, aggregates[len(plain):-1]):
+            average = np.full(len(counts), np.nan)
+            np.divide(total, counts, out=average, where=counts != 0)
+            columns[alias] = average
+        if self.count_alias is not None:
+            columns[self.count_alias] = counts
+        return columns
 
     def result_rows(self) -> List[Tuple]:
         """(group key..., sums..., mins..., maxs..., avgs..., count) rows
-        sorted by group key."""
-        rows = []
-        for key in sorted(self.groups):
-            entry = self.groups[key]
-            row = list(key) + [entry[alias] for alias in self.sums]
-            row += [entry[f"min:{alias}"] for alias in self.mins]
-            row += [entry[f"max:{alias}"] for alias in self.maxs]
-            count = entry["__count__"]
-            row += [
-                entry[f"avg:{alias}"] / count if count else float("nan")
-                for alias in self.avgs
-            ]
-            if self.count_alias is not None:
-                row.append(count)
-            rows.append(tuple(row))
-        return rows
+        sorted by group key, as Python ``int`` keys and counts and
+        ``float`` aggregates."""
+        return list(zip(*(column.tolist() for column in self.result_columns().values())))
 
 
 class ScalarAggregateSink(Sink):

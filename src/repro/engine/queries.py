@@ -134,8 +134,11 @@ def _q3(db: TpchDatabase) -> QueryPlan:
     )
 
     def result() -> List[tuple]:
-        rows = agg.result_rows()  # (orderkey, revenue)
-        return sorted(rows, key=lambda row: -row[1])[:10]
+        columns = agg.result_columns()
+        revenue = columns["revenue"]
+        # Stable, so ties keep ascending order-key order.
+        top = np.argsort(-revenue, kind="stable")[:10]
+        return list(zip(columns["l_orderkey"][top].tolist(), revenue[top].tolist()))
 
     return QueryPlan("Q3", [build_customer, build_orders, probe_lineitem], result)
 
@@ -194,11 +197,11 @@ def _q13(db: TpchDatabase) -> QueryPlan:
         # Histogram: (orders per customer, number of customers); the
         # customers with zero orders come from the difference against
         # the customer cardinality (the LEFT OUTER part of Q13).
-        counts: Dict[int, int] = {}
-        for _custkey, order_count in per_customer.result_rows():
-            counts[order_count] = counts.get(order_count, 0) + 1
-        n_with_orders = sum(counts.values())
-        zero = customer.n_rows - n_with_orders
+        order_counts, n_customers = np.unique(
+            per_customer.result_columns()["order_count"], return_counts=True
+        )
+        counts = dict(zip(order_counts.tolist(), n_customers.tolist()))
+        zero = customer.n_rows - int(n_customers.sum())
         if zero > 0:
             counts[0] = counts.get(0, 0) + zero
         return sorted(counts.items(), key=lambda item: (-item[1], -item[0]))
@@ -225,10 +228,10 @@ def _q18(db: TpchDatabase, quantity_threshold: float = 190.0) -> QueryPlan:
     big_orders = LazyJoinTable()
 
     def grouped_relation():
-        rows = group_qty.result_rows()  # (orderkey, sum_qty)
-        keys = np.array([row[0] for row in rows], dtype=np.int64)
-        sums = np.array([row[1] for row in rows], dtype=np.float64)
-        return materialized_relation({"g_orderkey": keys, "g_sum_qty": sums})
+        columns = group_qty.result_columns()
+        return materialized_relation(
+            {"g_orderkey": columns["l_orderkey"], "g_sum_qty": columns["sum_qty"]}
+        )
 
     build_big_orders = EnginePipeline(
         name="build-orders-probe",

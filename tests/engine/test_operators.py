@@ -1,8 +1,14 @@
 """Tests for the morsel-wise physical operators."""
 
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import operators
 from repro.engine.expressions import Col
 from repro.engine.operators import (
     AntiJoinProbe,
@@ -19,6 +25,7 @@ from repro.engine.operators import (
     TopKSink,
 )
 from repro.errors import EngineError
+from tests.engine.reference_aggregate import ReferenceHashAggregateSink
 
 
 def batch(**columns):
@@ -146,6 +153,140 @@ class TestHashAggregateSink:
         for (k1, s1), (k2, s2) in zip(whole.result_rows(), split.result_rows()):
             assert k1 == k2
             assert s1 == pytest.approx(s2)
+
+    def test_duplicate_output_names_rejected(self):
+        with pytest.raises(EngineError):
+            HashAggregateSink(["g"], {"s": Col("v")}, mins={"s": Col("v")})
+
+    def test_result_columns(self):
+        sink = HashAggregateSink(
+            ["g"], {"s": Col("v")}, avgs={"a": Col("v")}, count_alias="n"
+        )
+        sink.consume(batch(g=[3, 1, 3], v=[1.0, 2.0, 4.0]))
+        columns = sink.result_columns()
+        assert list(columns) == ["g", "s", "a", "n"]
+        assert columns["g"].dtype == np.int64 and columns["n"].dtype == np.int64
+        assert columns["g"].tolist() == [1, 3]
+        assert columns["s"].tolist() == [2.0, 5.0]
+        assert columns["a"].tolist() == [2.0, 2.5]
+        assert columns["n"].tolist() == [1, 2]
+
+    def test_empty_result_columns_are_typed(self):
+        columns = HashAggregateSink(["g"], {"s": Col("v")}, count_alias="n").result_columns()
+        assert [column.dtype for column in columns.values()] == [
+            np.int64, np.float64, np.int64
+        ]
+        assert all(len(column) == 0 for column in columns.values())
+
+
+#: Key column value ranges: small dense ranges take the bincount
+#: reduction, the widely spaced one forces the ``np.unique`` fallback.
+_KEY_VALUES = {
+    "dense": st.integers(0, 4),
+    "negative": st.integers(-9, -3),
+    "sparse": st.integers(-3, 3).map(lambda k: k * 10**12),
+}
+
+
+def _morsels(columns, cuts):
+    bounds = [0, *cuts, len(next(iter(columns.values())))]
+    return [
+        {name: values[lo:hi] for name, values in columns.items()}
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+@st.composite
+def _aggregation_cases(draw):
+    n_keys = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    columns = {}
+    for i in range(n_keys):
+        values = draw(st.sampled_from(sorted(_KEY_VALUES)).flatmap(
+            lambda kind: st.lists(_KEY_VALUES[kind], min_size=n, max_size=n)
+        ))
+        dtype = draw(st.sampled_from([np.int32, np.int64]))
+        if max(map(abs, values), default=0) > 2**31:
+            dtype = np.int64
+        columns[f"k{i}"] = np.array(values, dtype=dtype)
+    special = st.sampled_from([0.0, -0.0, 1e16, float("nan"), float("inf"), float("-inf")])
+    floats = special | st.floats(-1e3, 1e3) | st.floats(width=64)
+    columns["v"] = np.array(
+        draw(st.lists(floats, min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    columns["w"] = np.array(
+        draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)), dtype=np.int64
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=12)))
+    morsels = _morsels(columns, cuts)
+    read_after = draw(st.integers(0, len(morsels)))
+    merge_slack = draw(st.sampled_from([0, 5, operators._MERGE_SLACK_ROWS]))
+    spec = dict(
+        group_columns=[f"k{i}" for i in range(n_keys)],
+        sums={a: e for a, e in [("s", Col("v")), ("si", Col("w"))] if draw(st.booleans())},
+        mins={"lo": Col("v")} if draw(st.booleans()) else {},
+        maxs={a: e for a, e in [("hi", Col("v")), ("hi_w", Col("w"))] if draw(st.booleans())},
+        avgs={"mean": Col("v")} if draw(st.booleans()) else {},
+        count_alias="n" if draw(st.booleans()) else None,
+    )
+    return spec, morsels, read_after, merge_slack
+
+
+def _bits(value):
+    """A float's bit pattern (any NaN payload counts as the same NaN)."""
+    if not isinstance(value, float):
+        return value
+    return "nan" if value != value else struct.pack("<d", value)
+
+
+def _exact(rows):
+    """Rows with every float as its bit pattern, so == means bit-identical."""
+    return [tuple((type(value), _bits(value)) for value in row) for row in rows]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestHashAggregateSinkProperty:
+    def test_min_max_merge_like_python(self):
+        """Across morsels MIN/MAX keep the first of equal values (±0)
+        and skip NaN partials, as Python's min()/max() fold does."""
+        sink = HashAggregateSink(["g"], {}, mins={"lo": Col("v")}, maxs={"hi": Col("v")})
+        for v in (0.0, float("nan"), -0.0, 0.0):
+            sink.consume(batch(g=[1], v=[v]))
+        ((_, lo, hi),) = sink.result_rows()
+        assert struct.pack("<d", lo) == struct.pack("<d", 0.0)
+        assert struct.pack("<d", hi) == struct.pack("<d", 0.0)
+
+    @pytest.mark.parametrize("merge_slack", [0, operators._MERGE_SLACK_ROWS])
+    def test_sum_is_left_fold_in_morsel_order(self, merge_slack):
+        """Each group's sum is 0.0 + p0 + p1 + ... over morsel partials,
+        whenever eager merges run: 1e16 + 1.0 rounds back to 1e16, while
+        adding the ones first would give 1e16 + 2."""
+        sink = HashAggregateSink(["g"], {"s": Col("v")})
+        with mock.patch.object(operators, "_MERGE_SLACK_ROWS", merge_slack):
+            for v in (1e16, 1.0, 1.0, 1.0, 1.0):
+                sink.consume(batch(g=[7], v=[v]))
+        assert sink.result_rows() == [(7, 1e16)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_aggregation_cases())
+    def test_matches_reference_fold(self, case):
+        """The columnar sink equals the per-group dict fold bit for bit,
+        for any morsel split and merge schedule (a small merge slack
+        forces eager merges), including reads between morsels."""
+        spec, morsels, read_after, merge_slack = case
+        sink = HashAggregateSink(**spec)
+        reference = ReferenceHashAggregateSink(**spec)
+        with mock.patch.object(operators, "_MERGE_SLACK_ROWS", merge_slack):
+            for index, morsel in enumerate(morsels):
+                if index == read_after:
+                    expected = _exact(reference.result_rows())
+                    assert _exact(sink.result_rows()) == expected
+                    assert _exact(sink.result_rows()) == expected
+                sink.consume(morsel)
+                reference.consume(morsel)
+        assert _exact(sink.result_rows()) == _exact(reference.result_rows())
+        assert _exact(sink.result_rows()) == _exact(reference.result_rows())
 
 
 class TestScalarAggregateSink:
